@@ -11,14 +11,14 @@ use isa_core::{Design, IsaConfig};
 use isa_experiments::{DesignContext, ExperimentConfig};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::timing::DelayAnnotation;
-use isa_timing_sim::{run_clocked_batch, ClockedSim};
+use isa_timing_sim::{run_clocked_batch, ClockedCore};
 
 /// One clocked run of `inputs` on the scalar event queue.
 fn scalar_run(adder: &AdderNetlist, ann: &DelayAnnotation, period_ps: f64, inputs: &[(u64, u64)]) {
-    let mut sim = ClockedSim::new(adder.netlist(), ann, period_ps);
+    let mut sim = ClockedCore::new(adder.netlist(), ann, period_ps);
     let mut acc = 0u64;
     for &(a, b) in inputs {
-        acc ^= sim.step(&adder.input_values(a, b));
+        acc ^= sim.step(adder.netlist(), &adder.input_values(a, b));
     }
     std::hint::black_box(acc);
 }

@@ -11,7 +11,7 @@ use isa_netlist::builders::{build_exact, AdderTopology};
 use isa_netlist::cell::CellLibrary;
 use isa_netlist::sta::StaReport;
 use isa_netlist::timing::DelayAnnotation;
-use isa_timing_sim::GateLevelSim;
+use isa_timing_sim::SimCore;
 
 fn bench_behavioural(c: &mut Criterion) {
     let inputs = bench_inputs(10_000);
@@ -55,10 +55,10 @@ fn bench_gate_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("gate_level_sim");
     group.bench_function("sklansky32_200_cycles_settled", |b| {
         b.iter(|| {
-            let mut sim = GateLevelSim::new(adder.netlist(), &ann);
+            let mut sim = SimCore::new(adder.netlist(), &ann);
             for &(x, y) in &inputs {
-                sim.set_inputs(&adder.input_values(x, y));
-                sim.run_to_quiescence(1_000_000).unwrap();
+                sim.set_inputs(adder.netlist(), &adder.input_values(x, y));
+                sim.run_to_quiescence(adder.netlist(), 1_000_000).unwrap();
             }
             std::hint::black_box(sim.events_processed())
         });

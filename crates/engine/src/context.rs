@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use isa_core::{paper_designs, Adder, Design};
+use isa_core::{paper_designs, segment_len, Adder, Design};
 use isa_netlint::{lint_adder_with_classifier, LintOptions, LintReport};
 use isa_netlist::cell::CellLibrary;
 use isa_netlist::classify::LaneClassifier;
@@ -84,11 +84,17 @@ impl From<SynthesisError> for BuildError {
 ///   like the bit-sliced backend, but first proves — per lane per cycle,
 ///   with word operations over the operands' carry-propagate structure
 ///   ([`isa_netlist::classify`]) — which lanes cannot violate timing;
-///   those take one functional plane evaluation, and only the unsafe
-///   minority is compacted into dense batches of event simulation.
+///   those take a functional sweep of the design's compiled
+///   [`InstructionTape`], and only the unsafe minority is compacted into
+///   dense batches of timed replay ([`isa_timing_sim::filtered::run`]).
 ///   Results are **bit-identical** to the bit-sliced backend on every
 ///   stream (conservatism and parity are test-enforced), so the paper's
 ///   numbers do not depend on the choice; only the speed does.
+///
+/// [`GateLevelSubstrate::run_batch`](crate::GateLevelSubstrate) is the
+/// one place a backend is dispatched to produce sampled words; the
+/// scalar and bit-sliced cores also serve as parity oracles for the
+/// filtered runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// One cycle per event-queue pass (the seed path).
@@ -121,6 +127,19 @@ impl SimBackend {
             Self::Filtered => "filtered",
         }
     }
+
+    /// The lane-segment length of an `n`-cycle run: the stream positions
+    /// `i % len == 0` where the simulated circuit restarted from reset,
+    /// so the predictor's `x[t-1]` features must reset there too. `None`
+    /// for [`Scalar`](Self::Scalar), whose single circuit runs the whole
+    /// stream without a seam.
+    #[must_use]
+    pub fn seam_len(self, n: usize) -> Option<usize> {
+        match self {
+            Self::Scalar => None,
+            Self::BitSliced | Self::Filtered => Some(segment_len(n)),
+        }
+    }
 }
 
 impl std::str::FromStr for SimBackend {
@@ -147,11 +166,6 @@ pub struct ExperimentConfig {
     /// Gate-level evaluation engine ([`SimBackend::Filtered`] by
     /// default).
     pub backend: SimBackend,
-    /// Route the filtered backend's functional evaluations through the
-    /// per-design compiled [`InstructionTape`] (on by default; results are
-    /// bit-identical either way, only speed differs). `false` keeps the
-    /// graph-interpreter path — the benchmark baseline.
-    pub use_tape: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -163,7 +177,6 @@ impl Default for ExperimentConfig {
             variation_seed: 0xD1E_5A3D,
             workload_seed: 0x5EED_CAFE,
             backend: SimBackend::default(),
-            use_tape: true,
         }
     }
 }
@@ -402,6 +415,14 @@ mod tests {
         let cfg = ExperimentConfig::default();
         assert_eq!(cfg.clock_ps(0.05), 285.0);
         assert_eq!(cfg.clock_ps(0.15), 255.0);
+    }
+
+    #[test]
+    fn only_lane_dealing_backends_have_seams() {
+        assert_eq!(SimBackend::Scalar.seam_len(1000), None);
+        for backend in [SimBackend::BitSliced, SimBackend::Filtered] {
+            assert_eq!(backend.seam_len(1000), Some(segment_len(1000)));
+        }
     }
 
     #[test]

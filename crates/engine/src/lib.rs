@@ -63,3 +63,8 @@ pub use context::{BuildError, DesignContext, ExperimentConfig, SimBackend};
 pub use engine::{Engine, RunResult, RunUnit};
 pub use plan::{ExperimentPlan, SubstrateChoice, WorkloadSpec};
 pub use substrates::{cycles_with_segment_resets, GateLevelSubstrate, PredictedSubstrate};
+
+/// The metric registry and span tracing every layer reports into,
+/// re-exported so pipeline binaries can read the `engine.*` and
+/// `sim.filtered.*` counters of the runs they drive.
+pub use isa_obs as obs;

@@ -24,7 +24,7 @@ use isa_core::segment_len;
 use isa_core::substrate::{CostClass, Substrate};
 use isa_core::{Adder, Design};
 use isa_learn::{CyclePair, PredictorConfig, TimingErrorPredictor};
-use isa_timing_sim::{run_clocked_batch, run_filtered_batch, run_filtered_batch_tape, ClockedCore};
+use isa_timing_sim::{filtered, run_clocked_batch, ClockedCore};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::cache::ArtifactCache;
@@ -88,10 +88,11 @@ impl Substrate for GateLevelSubstrate {
 
     /// Full-stream evaluation on the configured [`SimBackend`]: the
     /// filtered operand-adaptive path by default (classifier-proven-safe
-    /// lanes take one functional plane evaluation, the unsafe minority a
-    /// compacted 64-lane event simulation — bit-identical to the
+    /// lanes take a functional sweep of the compiled tape, the unsafe
+    /// minority a compacted 64-lane timed replay — bit-identical to the
     /// bit-sliced backend), the plain bit-sliced 64-lane simulator, or the
-    /// scalar event queue (the parity/benchmark reference).
+    /// scalar event queue (the parity reference). This is the one place a
+    /// backend is dispatched to produce sampled words.
     fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
         match self.config.backend {
             SimBackend::Scalar => {
@@ -107,24 +108,15 @@ impl Substrate for GateLevelSubstrate {
             }
             SimBackend::Filtered => {
                 let ctx = self.context(design);
-                if self.config.use_tape {
-                    run_filtered_batch_tape(
-                        &ctx.synthesized.adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        ctx.tape(),
-                        clock_ps,
-                        inputs,
-                    )
-                } else {
-                    run_filtered_batch(
-                        &ctx.synthesized.adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        clock_ps,
-                        inputs,
-                    )
-                }
+                filtered::run(
+                    &ctx.synthesized.adder,
+                    &ctx.annotation,
+                    ctx.classifier(),
+                    ctx.tape(),
+                    clock_ps,
+                    inputs,
+                )
+                .0
             }
         }
     }
@@ -206,67 +198,32 @@ impl PredictedSubstrate {
 
     /// Collects a gate-level training trace and fits the per-bit model.
     ///
-    /// On the bit-sliced backend the trace comes from the 64-lane
-    /// simulator; the `x[t-1]` features then follow each *lane's* actual
-    /// predecessor, restarting from the reset state at segment seams (see
+    /// The sampled words come from [`GateLevelSubstrate::run_batch`] on
+    /// the configured backend. On the lane-dealing backends the `x[t-1]`
+    /// features then follow each *lane's* actual predecessor, restarting
+    /// from the reset state at segment seams (see
     /// [`cycles_with_segment_resets`]) so features always describe the
     /// circuit state that physically produced the labels.
     fn train(&self, design: &Design, clock_ps: f64) -> TimingErrorPredictor {
-        let ctx = self.cache.context(design, &self.config);
+        let gate_level = GateLevelSubstrate::new(Arc::clone(&self.cache), self.config.clone());
+        let ctx = gate_level.context(design);
         let inputs = take_pairs(
             UniformWorkload::new(design.width(), self.train_seed),
             self.train_cycles,
         );
-        let adder = &ctx.synthesized.adder;
-        let netlist = adder.netlist();
-        let cycles = match self.config.backend {
-            SimBackend::Scalar => {
-                let mut clocked = ClockedCore::new(netlist, &ctx.annotation, clock_ps);
-                let raw: Vec<(u64, u64, u64, u64)> = inputs
-                    .iter()
-                    .map(|&(a, b)| {
-                        let pins = adder.input_values(a, b);
-                        let sampled = clocked.step(netlist, &pins);
-                        let settled = netlist.evaluate_outputs_u64(&pins);
-                        (a, b, settled, sampled ^ settled)
-                    })
-                    .collect();
-                CyclePair::from_stream(&raw)
-            }
-            // The filtered backend samples bit-identically to the
-            // bit-sliced one (same segment dealing, same values), so the
-            // training trace and its seam handling are shared.
-            SimBackend::BitSliced | SimBackend::Filtered => {
-                let sampled = match self.config.backend {
-                    SimBackend::Filtered if self.config.use_tape => run_filtered_batch_tape(
-                        adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        ctx.tape(),
-                        clock_ps,
-                        &inputs,
-                    ),
-                    SimBackend::Filtered => run_filtered_batch(
-                        adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        clock_ps,
-                        &inputs,
-                    ),
-                    _ => run_clocked_batch(adder, &ctx.annotation, clock_ps, &inputs),
-                };
-                let settled = if self.config.use_tape {
-                    adder.add_batch_with_tape(ctx.tape(), &inputs)
-                } else {
-                    adder.add_batch(&inputs)
-                };
-                let raw: Vec<(u64, u64, u64, u64)> = inputs
-                    .iter()
-                    .zip(sampled.iter().zip(&settled))
-                    .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set))
-                    .collect();
-                cycles_with_segment_resets(&raw)
-            }
+        let sampled = gate_level.run_batch(design, clock_ps, &inputs);
+        let settled = ctx
+            .synthesized
+            .adder
+            .add_batch_with_tape(ctx.tape(), &inputs);
+        let raw: Vec<(u64, u64, u64, u64)> = inputs
+            .iter()
+            .zip(sampled.iter().zip(&settled))
+            .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set))
+            .collect();
+        let cycles = match self.config.backend.seam_len(inputs.len()) {
+            None => CyclePair::from_stream(&raw),
+            Some(_) => cycles_with_segment_resets(&raw),
         };
         TimingErrorPredictor::train(&cycles, design.width(), &self.predictor_config)
     }

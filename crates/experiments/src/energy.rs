@@ -9,7 +9,7 @@
 use isa_core::Design;
 use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SimBackend};
 use isa_netlist::cell::CellLibrary;
-use isa_timing_sim::{measure_activity, measure_clocked_batch, GateLevelSim};
+use isa_timing_sim::{measure_activity, measure_clocked_batch, SimCore};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::report::{sci, Table};
@@ -85,11 +85,11 @@ pub fn run_on(
         // filtered fast path never materializes for timing-safe lanes.
         let report = match unit.config.backend {
             SimBackend::Scalar => {
-                let mut sim = GateLevelSim::new(netlist, &ctx.annotation);
+                let mut sim = SimCore::new(netlist, &ctx.annotation);
                 for &(a, b) in unit.inputs {
                     let t0 = sim.now_fs();
-                    sim.set_inputs(&adder.input_values(a, b));
-                    sim.run_until(t0 + period_fs);
+                    sim.set_inputs(netlist, &adder.input_values(a, b));
+                    sim.run_until(netlist, t0 + period_fs);
                 }
                 measure_activity(sim.net_commit_counts(), n as u64 * period_fs, netlist, &lib)
             }

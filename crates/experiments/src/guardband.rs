@@ -21,13 +21,14 @@
 //! relative error, and silent-error rate.
 //!
 //! Backend note: the ISA open-loop and predictor-replay streams run on the
-//! configured [`SimBackend`] (filtered by default); the Razor trace
-//! stays on the scalar event queue on either backend, because shadow-latch
-//! detection and replay stalls are inherently sequential per cycle.
+//! configured [`SimBackend`](isa_engine::SimBackend) (filtered by
+//! default); the Razor trace stays on the scalar event queue on every
+//! backend, because shadow-latch detection and replay stalls are
+//! inherently sequential per cycle.
 
-use isa_core::{segment_len, Design, ErrorStats, IsaConfig, Substrate};
+use isa_core::{Design, ErrorStats, IsaConfig, Substrate};
 use isa_engine::{
-    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate, SimBackend,
+    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate,
 };
 use isa_learn::CyclePair;
 use isa_netlist::cell::CellLibrary;
@@ -171,10 +172,7 @@ pub fn run_on(
             // On the bit-sliced and filtered backends the circuit
             // restarted from reset at every lane-segment seam: reset the
             // predictor's x[t-1] features at the same positions.
-            let seam = match unit.config.backend {
-                SimBackend::Scalar => None,
-                SimBackend::BitSliced | SimBackend::Filtered => Some(segment_len(trace.len())),
-            };
+            let seam = unit.config.backend.seam_len(trace.len());
             let mut prev = (0u64, 0u64, 0u64);
             for (i, &(a, b, gold_y, silver)) in trace.iter().enumerate() {
                 if seam.is_some_and(|seg| i % seg == 0) {

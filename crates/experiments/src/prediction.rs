@@ -7,9 +7,9 @@
 //! yRTL_n[t]} -> timing class`; evaluation runs on held-out cycles from an
 //! independently seeded stream.
 
-use isa_core::{segment_len, Design, Substrate};
+use isa_core::{Design, Substrate};
 use isa_engine::{
-    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate, SimBackend,
+    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate,
 };
 use isa_learn::CyclePair;
 use isa_metrics::{AbperAccumulator, AvpeAccumulator};
@@ -113,10 +113,7 @@ pub fn run_on(
         // from reset at every lane-segment seam; the model's x[t-1]
         // features must follow the *physical* predecessor, so reset them
         // at the same positions.
-        let seam = match unit.config.backend {
-            SimBackend::Scalar => None,
-            SimBackend::BitSliced | SimBackend::Filtered => Some(segment_len(unit.inputs.len())),
-        };
+        let seam = unit.config.backend.seam_len(unit.inputs.len());
         let mut abper = AbperAccumulator::new(unit.design.width() + 1);
         let mut avpe = AvpeAccumulator::new();
         let mut erroneous = 0usize;

@@ -3,6 +3,9 @@
 //! point, and on a real application kernel's operation stream with its
 //! ragged (non-multiple-of-64) passes.
 //!
+//! Both tests drive the production runner exactly as the engine does —
+//! `filtered::run` with the design context's memoized classifier and
+//! compiled instruction tape — against the `run_clocked_batch` oracle.
 //! This is what lets `SimBackend::Filtered` be the default without
 //! touching a single golden CSV: the classifier's fast path and the
 //! compacted slow path reproduce `run_clocked_batch` exactly, they are
@@ -11,7 +14,7 @@
 use isa_apps::{kernel_by_name, BatchAdder};
 use isa_core::paper_designs;
 use isa_engine::{DesignContext, ExperimentConfig};
-use isa_timing_sim::{run_clocked_batch, run_filtered_batch, run_filtered_batch_with_stats};
+use isa_timing_sim::{filtered, run_clocked_batch};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 #[test]
@@ -30,10 +33,11 @@ fn filtered_matches_bitsliced_at_every_fig9_clock_point() {
             let clock = config.clock_ps(cpr);
             let reference =
                 run_clocked_batch(&ctx.synthesized.adder, &ctx.annotation, clock, &inputs);
-            let (got, stats) = run_filtered_batch_with_stats(
+            let (got, stats) = filtered::run(
                 &ctx.synthesized.adder,
                 &ctx.annotation,
                 classifier,
+                ctx.tape(),
                 clock,
                 &inputs,
             );
@@ -67,13 +71,15 @@ fn filtered_matches_bitsliced_on_app_kernel_stream_with_ragged_tail() {
             passes += 1;
             ragged_passes += usize::from(!ops.len().is_multiple_of(64));
             let reference = run_clocked_batch(&ctx.synthesized.adder, &ctx.annotation, clock, ops);
-            let got = run_filtered_batch(
+            let (got, stats) = filtered::run(
                 &ctx.synthesized.adder,
                 &ctx.annotation,
                 ctx.classifier(),
+                ctx.tape(),
                 clock,
                 ops,
             );
+            assert_eq!(stats.cycles, ops.len() as u64);
             assert_eq!(got, reference, "pass {passes} ({} ops)", ops.len());
             got
         };

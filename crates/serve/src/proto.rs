@@ -39,9 +39,11 @@
 //! Every evaluation query maps to a single-line canonical key that folds
 //! in **all** determinism-relevant configuration (design, cpr bits,
 //! workload, cycles/scale, safe period bits, variation sigma bits, both
-//! seeds, backend, tape flag). Identical keys coalesce in flight and
-//! share one store record; float fields are keyed by their exact bit
-//! patterns so "the same query" means bit-identical configuration.
+//! seeds, backend). Identical keys coalesce in flight and share one
+//! store record; float fields are keyed by their exact bit patterns so
+//! "the same query" means bit-identical configuration. The `/v2` schema
+//! tag bumps whenever the key layout changes, so records written under
+//! an older layout re-key instead of answering a different question.
 
 use std::str::FromStr;
 
@@ -273,13 +275,12 @@ fn parse_workload(value: &Json) -> Result<WorkloadSel, String> {
 #[must_use]
 pub fn config_key_fragment(config: &ExperimentConfig) -> String {
     format!(
-        "period={:016x} sigma={:016x} vseed={:016x} wseed={:016x} backend={} tape={}",
+        "period={:016x} sigma={:016x} vseed={:016x} wseed={:016x} backend={}",
         config.period_ps.to_bits(),
         config.variation_sigma.to_bits(),
         config.variation_seed,
         config.workload_seed,
-        config.backend.label(),
-        config.use_tape
+        config.backend.label()
     )
 }
 
@@ -287,7 +288,7 @@ pub fn config_key_fragment(config: &ExperimentConfig) -> String {
 #[must_use]
 pub fn quality_key(query: &QualityQuery, config: &ExperimentConfig) -> String {
     format!(
-        "quality/v1 design={} cpr={:016x} {} {}",
+        "quality/v2 design={} cpr={:016x} {} {}",
         query.design,
         query.cpr.to_bits(),
         query.workload.key_fragment(),
@@ -299,7 +300,7 @@ pub fn quality_key(query: &QualityQuery, config: &ExperimentConfig) -> String {
 #[must_use]
 pub fn cheapest_key(query: &CheapestQuery, config: &ExperimentConfig) -> String {
     format!(
-        "cheapest/v1 min_db={:016x} cpr={:016x} {} {}",
+        "cheapest/v2 min_db={:016x} cpr={:016x} {} {}",
         query.min_quality_db.to_bits(),
         query.cpr.to_bits(),
         query.workload.key_fragment(),

@@ -274,10 +274,12 @@ impl BitClockedCore {
     /// those inputs to quiescence, obtained here with a single
     /// functional plane pass instead of an event cascade.
     ///
-    /// This is how the filtered runner seeds a compacted core mid-stream:
-    /// a lane entering the slow path from a proven-settled step is in
-    /// exactly the state "previous operands, fully settled, nothing in
-    /// flight".
+    /// This is the event-driven oracle of
+    /// [`TimedTapeCore::with_settled`](crate::TimedTapeCore::with_settled),
+    /// which is how the filtered runner seeds a compacted core
+    /// mid-stream: a lane entering the slow path from a proven-settled
+    /// step is in exactly the state "previous operands, fully settled,
+    /// nothing in flight".
     ///
     /// # Panics
     ///
@@ -412,8 +414,8 @@ pub fn run_clocked_batch_with_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clocked::ClockedSim;
-    use crate::sim::GateLevelSim;
+    use crate::clocked::ClockedCore;
+    use crate::sim::SimCore;
     use isa_netlist::builders::{build_exact, AdderTopology};
     use isa_netlist::cell::CellLibrary;
     use isa_netlist::sta::StaReport;
@@ -466,7 +468,7 @@ mod tests {
     #[test]
     fn overclocked_batch_lanes_match_scalar_segments() {
         // The parity contract: lane l of the batch, fed stream segment l,
-        // must equal a scalar ClockedSim fed the same segment — bit for
+        // must equal a scalar ClockedCore fed the same segment — bit for
         // bit, including which cycles err.
         let (adder, ann, crit) = adder_and_annotation();
         let inputs = pairs(400, 0x7777);
@@ -480,9 +482,9 @@ mod tests {
                 break;
             }
             let end = (start + seg).min(inputs.len());
-            let mut scalar = ClockedSim::new(adder.netlist(), &ann, period);
+            let mut scalar = ClockedCore::new(adder.netlist(), &ann, period);
             for (idx, &(a, b)) in inputs[start..end].iter().enumerate() {
-                let expect = scalar.step(&adder.input_values(a, b));
+                let expect = scalar.step(adder.netlist(), &adder.input_values(a, b));
                 assert_eq!(sampled[start + idx], expect, "lane {l} cycle {idx}");
                 if expect != a + b {
                     errors += 1;
@@ -533,9 +535,9 @@ mod tests {
 
         let mut scalar_total = 0u64;
         for &(a, b) in &input {
-            let mut sim = GateLevelSim::new(netlist, &ann);
-            sim.set_inputs(&adder.input_values(a, b));
-            sim.run_to_quiescence(1_000_000).unwrap();
+            let mut sim = SimCore::new(netlist, &ann);
+            sim.set_inputs(netlist, &adder.input_values(a, b));
+            sim.run_to_quiescence(netlist, 1_000_000).unwrap();
             scalar_total += sim.net_commit_counts().iter().sum::<u64>();
         }
         assert_eq!(batched, scalar_total);
@@ -571,9 +573,9 @@ mod tests {
                 break;
             }
             let end = (start + seg).min(inputs.len());
-            let mut scalar = ClockedSim::new(netlist, &ann, period);
+            let mut scalar = ClockedCore::new(netlist, &ann, period);
             for &(a, b) in &inputs[start..end] {
-                let _ = scalar.step(&adder.input_values(a, b));
+                let _ = scalar.step(netlist, &adder.input_values(a, b));
             }
             scalar_events += scalar.events_processed();
         }

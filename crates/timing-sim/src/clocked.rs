@@ -70,60 +70,6 @@ impl ClockedCore {
     }
 }
 
-/// A netlist operated at a fixed clock period.
-#[derive(Debug, Clone)]
-pub struct ClockedSim<'a> {
-    core: ClockedCore,
-    netlist: &'a Netlist,
-}
-
-impl<'a> ClockedSim<'a> {
-    /// Creates a clocked wrapper running `netlist` at `period_ps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period is not positive/finite or the annotation does
-    /// not cover the netlist.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation, period_ps: f64) -> Self {
-        Self {
-            core: ClockedCore::new(netlist, annotation, period_ps),
-            netlist,
-        }
-    }
-
-    /// The clock period in femtoseconds.
-    #[must_use]
-    pub fn period_fs(&self) -> u64 {
-        self.core.period_fs()
-    }
-
-    /// Applies one input vector at the current clock edge, runs one period,
-    /// and returns the outputs sampled at the next edge (packed LSB-first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the netlist's input count.
-    pub fn step(&mut self, inputs: &[bool]) -> u64 {
-        self.core.step(self.netlist, inputs)
-    }
-
-    /// The value the outputs would settle to for the *current* inputs if
-    /// the clock were slow enough (the cycle's timing-error-free
-    /// reference), computed functionally without disturbing the event
-    /// queue.
-    #[must_use]
-    pub fn settled_reference(&self, inputs: &[bool]) -> u64 {
-        self.netlist.evaluate_outputs_u64(inputs)
-    }
-
-    /// Total committed simulation events so far.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
-    }
-}
-
 /// One cycle of an overclocked adder trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleRecord {
@@ -163,12 +109,12 @@ pub fn run_adder_trace(
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> Vec<CycleRecord> {
-    let mut clocked = ClockedSim::new(adder.netlist(), annotation, period_ps);
+    let mut clocked = ClockedCore::new(adder.netlist(), annotation, period_ps);
     let mut records = Vec::with_capacity(inputs.len());
     for &(a, b) in inputs {
         let pins = adder.input_values(a, b);
-        let sampled = clocked.step(&pins);
-        let settled = clocked.settled_reference(&pins);
+        let sampled = clocked.step(adder.netlist(), &pins);
+        let settled = adder.netlist().evaluate_outputs_u64(&pins);
         records.push(CycleRecord {
             a,
             b,
@@ -290,6 +236,6 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn zero_period_is_rejected() {
         let (adder, ann, _) = adder_and_annotation();
-        let _ = ClockedSim::new(adder.netlist(), &ann, 0.0);
+        let _ = ClockedCore::new(adder.netlist(), &ann, 0.0);
     }
 }

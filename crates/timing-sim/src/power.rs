@@ -14,7 +14,7 @@ use isa_netlist::graph::{NetDriver, NetId, Netlist};
 use isa_netlist::timing::DelayAnnotation;
 
 use crate::bitsim::run_clocked_batch_with_core;
-use crate::sim::GateLevelSim;
+use crate::sim::SimCore;
 
 /// Leakage power per NAND2-equivalent area unit, in nanowatts (65 nm-class
 /// general-purpose magnitude).
@@ -59,7 +59,7 @@ impl EnergyReport {
 /// like buffers (the register driving them switches too). Leakage: area x
 /// time x [`LEAKAGE_NW_PER_AREA`].
 #[must_use]
-pub fn measure(sim: &GateLevelSim<'_>, netlist: &Netlist, lib: &CellLibrary) -> EnergyReport {
+pub fn measure(sim: &SimCore, netlist: &Netlist, lib: &CellLibrary) -> EnergyReport {
     measure_activity(sim.net_commit_counts(), sim.now_fs(), netlist, lib)
 }
 
@@ -139,13 +139,13 @@ mod tests {
         let lib = CellLibrary::industrial_65nm();
         let adder = build_exact(adder_bits, topology);
         let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
-        let mut sim = GateLevelSim::new(adder.netlist(), &ann);
+        let mut sim = SimCore::new(adder.netlist(), &ann);
         for &(a, b) in inputs {
-            sim.set_inputs(&adder.input_values(a, b));
-            sim.run_to_quiescence(1_000_000).unwrap();
+            sim.set_inputs(adder.netlist(), &adder.input_values(a, b));
+            sim.run_to_quiescence(adder.netlist(), 1_000_000).unwrap();
             // Advance a fixed cycle time for a fair leakage comparison.
             let t = sim.now_fs();
-            sim.run_until(t + 300_000);
+            sim.run_until(adder.netlist(), t + 300_000);
         }
         measure(&sim, adder.netlist(), &lib)
     }
@@ -167,8 +167,8 @@ mod tests {
         let lib = CellLibrary::industrial_65nm();
         let adder = build_exact(8, AdderTopology::Ripple);
         let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
-        let mut sim = GateLevelSim::new(adder.netlist(), &ann);
-        sim.run_until(1_000_000);
+        let mut sim = SimCore::new(adder.netlist(), &ann);
+        sim.run_until(adder.netlist(), 1_000_000);
         let report = measure(&sim, adder.netlist(), &lib);
         assert_eq!(report.dynamic_fj, 0.0);
         assert_eq!(report.transitions, 0);

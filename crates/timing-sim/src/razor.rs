@@ -23,7 +23,7 @@ use isa_netlist::cell::CellLibrary;
 use isa_netlist::timing::DelayAnnotation;
 use isa_netlist::transform::pad_min_delay;
 
-use crate::sim::{ps_to_fs, GateLevelSim};
+use crate::sim::{ps_to_fs, SimCore};
 
 /// Razor operating parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,7 +176,7 @@ pub fn run_razor_trace(
     let period_fs = ps_to_fs(period_ps);
     let margin_fs = ps_to_fs(config.margin_ps);
     let netlist = padded_adder.netlist();
-    let mut sim = GateLevelSim::new(netlist, &padded_ann);
+    let mut sim = SimCore::new(netlist, &padded_ann);
     let mut cycles = Vec::with_capacity(inputs.len());
 
     // Pipeline the sampling: operation k's inputs are applied at absolute
@@ -187,16 +187,16 @@ pub fn run_razor_trace(
         let launch_edge = k as u64 * period_fs;
         let sample_edge = launch_edge + period_fs;
         if k == 0 {
-            sim.set_inputs(&padded_adder.input_values(a, b));
+            sim.set_inputs(netlist, &padded_adder.input_values(a, b));
         }
-        sim.run_until(sample_edge);
-        let main = sim.outputs_u64();
+        sim.run_until(netlist, sample_edge);
+        let main = sim.outputs_u64(netlist);
         // The next operation launches exactly at the sampling edge.
         if let Some(&(na, nb)) = inputs.get(k + 1) {
-            sim.set_inputs(&padded_adder.input_values(na, nb));
+            sim.set_inputs(netlist, &padded_adder.input_values(na, nb));
         }
-        sim.run_until(sample_edge + margin_fs);
-        let shadow = sim.outputs_u64();
+        sim.run_until(netlist, sample_edge + margin_fs);
+        let shadow = sim.outputs_u64(netlist);
         let settled = netlist.evaluate_outputs_u64(&padded_adder.input_values(a, b));
         cycles.push(RazorCycle {
             a,

@@ -52,8 +52,7 @@ struct Event {
 /// Every method takes the netlist as an explicit parameter instead of
 /// borrowing it at construction time, so the state can be stored alongside
 /// an owned (`Arc`ed) netlist — the enabler for self-contained substrate
-/// sessions in `isa-engine`. [`GateLevelSim`] wraps this with a borrowed
-/// netlist for the common single-scope case.
+/// sessions in `isa-engine`.
 ///
 /// Callers must pass the same netlist the state was created with; sizes are
 /// asserted where cheap, behaviour is unspecified for a different netlist of
@@ -281,119 +280,6 @@ impl SimCore {
     }
 }
 
-/// An event-driven simulator bound to one netlist and one delay annotation.
-///
-/// This is a convenience wrapper pairing a [`SimCore`] with the borrowed
-/// netlist it simulates; use [`SimCore`] directly when the netlist is owned
-/// elsewhere (e.g. behind an `Arc` in a long-lived substrate session).
-#[derive(Debug, Clone)]
-pub struct GateLevelSim<'a> {
-    netlist: &'a Netlist,
-    core: SimCore,
-}
-
-impl<'a> GateLevelSim<'a> {
-    /// Creates a simulator with all primary inputs at 0 and the netlist
-    /// settled to that state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the annotation does not cover every cell.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation) -> Self {
-        Self {
-            netlist,
-            core: SimCore::new(netlist, annotation),
-        }
-    }
-
-    /// Starts recording every committed transition into a waveform (for
-    /// VCD export and glitch analysis). Replaces any active recording.
-    pub fn start_recording(&mut self) {
-        self.core.start_recording(self.netlist);
-    }
-
-    /// Stops recording and returns the captured waveform, if any.
-    pub fn take_recording(&mut self) -> Option<crate::waveform::Waveform> {
-        self.core.take_recording()
-    }
-
-    /// Committed transition count per net since construction (an activity
-    /// profile for power estimation).
-    #[must_use]
-    pub fn net_commit_counts(&self) -> &[u64] {
-        self.core.net_commit_counts()
-    }
-
-    /// Current simulation time in femtoseconds.
-    #[must_use]
-    pub fn now_fs(&self) -> u64 {
-        self.core.now_fs()
-    }
-
-    /// Total committed events so far (a simulator activity/energy proxy).
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
-    }
-
-    /// Current logic value of a net.
-    #[must_use]
-    pub fn value(&self, net: NetId) -> bool {
-        self.core.value(net)
-    }
-
-    /// Packs the primary outputs into a `u64`, LSB-first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has more than 64 outputs.
-    #[must_use]
-    pub fn outputs_u64(&self) -> u64 {
-        self.core.outputs_u64(self.netlist)
-    }
-
-    /// Drives the primary inputs to new values at the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the number of primary inputs.
-    pub fn set_inputs(&mut self, values: &[bool]) {
-        self.core.set_inputs(self.netlist, values);
-    }
-
-    /// Processes all events strictly before `t_fs`, then advances the clock
-    /// to `t_fs`.
-    ///
-    /// Events at exactly `t_fs` stay pending: a transition landing on the
-    /// sampling edge is not captured (zero-margin setup), matching the
-    /// hold-the-old-value behaviour of a flip-flop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_fs` is in the past.
-    pub fn run_until(&mut self, t_fs: u64) {
-        self.core.run_until(self.netlist, t_fs);
-    }
-
-    /// Runs until no events remain (combinational settle), with an event
-    /// budget guarding against pathological activity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SettleError`] if the budget is exhausted.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> Result<(), SettleError> {
-        self.core.run_to_quiescence(self.netlist, max_events)
-    }
-
-    /// Time of the latest pending event, if any (an upper bound on when the
-    /// current inputs will have fully propagated).
-    #[must_use]
-    pub fn pending_horizon_fs(&self) -> Option<u64> {
-        self.core.pending_horizon_fs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,41 +303,41 @@ mod tests {
         let nl = inv_chain(5);
         let lib = CellLibrary::industrial_65nm();
         let ann = DelayAnnotation::nominal(&nl, &lib);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[true]);
-        sim.run_to_quiescence(1_000_000).unwrap();
-        assert_eq!(sim.outputs_u64(), nl.evaluate_outputs_u64(&[true]));
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[true]);
+        sim.run_to_quiescence(&nl, 1_000_000).unwrap();
+        assert_eq!(sim.outputs_u64(&nl), nl.evaluate_outputs_u64(&[true]));
     }
 
     #[test]
     fn output_changes_exactly_after_chain_delay() {
         let nl = inv_chain(4);
         let ann = DelayAnnotation::from_delays(vec![10.0; 4]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
+        let mut sim = SimCore::new(&nl, &ann);
         // Initial state: input 0, even inversions => output 0.
-        assert_eq!(sim.outputs_u64(), 0);
-        sim.set_inputs(&[true]);
+        assert_eq!(sim.outputs_u64(&nl), 0);
+        sim.set_inputs(&nl, &[true]);
         // 4 stages x 10 ps = 40 ps: not settled at 39.999..., settled at 40+.
-        sim.run_until(ps_to_fs(40.0)); // strictly-before semantics
+        sim.run_until(&nl, ps_to_fs(40.0)); // strictly-before semantics
         assert_eq!(
-            sim.outputs_u64(),
+            sim.outputs_u64(&nl),
             0,
             "transition at exactly t is not captured"
         );
-        sim.run_until(ps_to_fs(40.0) + 1);
-        assert_eq!(sim.outputs_u64(), 1);
+        sim.run_until(&nl, ps_to_fs(40.0) + 1);
+        assert_eq!(sim.outputs_u64(&nl), 1);
     }
 
     #[test]
     fn sampling_before_settle_yields_stale_value() {
         let nl = inv_chain(10);
         let ann = DelayAnnotation::from_delays(vec![10.0; 10]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[true]);
-        sim.run_until(ps_to_fs(50.0)); // halfway through the chain
-        assert_eq!(sim.outputs_u64(), 0, "stale value expected");
-        sim.run_to_quiescence(1_000).unwrap();
-        assert_eq!(sim.outputs_u64(), 1);
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[true]);
+        sim.run_until(&nl, ps_to_fs(50.0)); // halfway through the chain
+        assert_eq!(sim.outputs_u64(&nl), 0, "stale value expected");
+        sim.run_to_quiescence(&nl, 1_000).unwrap();
+        assert_eq!(sim.outputs_u64(&nl), 1);
     }
 
     #[test]
@@ -465,14 +351,14 @@ mod tests {
         b.mark_output(y, "y");
         let nl = b.finish().unwrap();
         let ann = DelayAnnotation::from_delays(vec![30.0, 5.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[true]);
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[true]);
         // At t=10: XOR saw a=1, slow=0 => pulse high.
-        sim.run_until(ps_to_fs(10.0));
-        assert_eq!(sim.outputs_u64(), 1, "glitch visible mid-flight");
-        sim.run_to_quiescence(1_000).unwrap();
+        sim.run_until(&nl, ps_to_fs(10.0));
+        assert_eq!(sim.outputs_u64(&nl), 1, "glitch visible mid-flight");
+        sim.run_to_quiescence(&nl, 1_000).unwrap();
         assert_eq!(
-            sim.outputs_u64(),
+            sim.outputs_u64(&nl),
             0,
             "settles back after slow path catches up"
         );
@@ -486,19 +372,19 @@ mod tests {
         let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
         let sta = StaReport::analyze(adder.netlist(), &ann);
         let bound_fs = ps_to_fs(sta.critical_ps());
-        let mut sim = GateLevelSim::new(adder.netlist(), &ann);
+        let mut sim = SimCore::new(adder.netlist(), &ann);
         let mut seed = 1u64;
         for _ in 0..50 {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(7);
             let (a, b) = (seed & 0xFFFF, (seed >> 16) & 0xFFFF);
             let t0 = sim.now_fs();
-            sim.set_inputs(&adder.input_values(a, b));
-            sim.run_until(t0 + bound_fs + 1);
+            sim.set_inputs(adder.netlist(), &adder.input_values(a, b));
+            sim.run_until(adder.netlist(), t0 + bound_fs + 1);
             assert!(
                 sim.pending_horizon_fs().is_none(),
                 "events pending past the STA bound for a={a:#x} b={b:#x}"
             );
-            assert_eq!(sim.outputs_u64(), a + b);
+            assert_eq!(sim.outputs_u64(adder.netlist()), a + b);
         }
     }
 
@@ -506,9 +392,9 @@ mod tests {
     fn event_count_accumulates() {
         let nl = inv_chain(3);
         let ann = DelayAnnotation::from_delays(vec![10.0; 3]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[true]);
-        sim.run_to_quiescence(100).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[true]);
+        sim.run_to_quiescence(&nl, 100).unwrap();
         assert_eq!(sim.events_processed(), 3, "one commit per inverter");
     }
 
@@ -516,9 +402,9 @@ mod tests {
     fn no_event_when_input_unchanged() {
         let nl = inv_chain(3);
         let ann = DelayAnnotation::from_delays(vec![10.0; 3]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[false]); // same as initial state
-        sim.run_to_quiescence(100).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[false]); // same as initial state
+        sim.run_to_quiescence(&nl, 100).unwrap();
         assert_eq!(sim.events_processed(), 0);
     }
 
@@ -527,9 +413,9 @@ mod tests {
     fn running_backwards_panics() {
         let nl = inv_chain(1);
         let ann = DelayAnnotation::from_delays(vec![10.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.run_until(100);
-        sim.run_until(50);
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.run_until(&nl, 100);
+        sim.run_until(&nl, 50);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! waveforms erase the zero-width glitch commits those counters bill
 //! for, so the energy pipeline keeps using the classic [`BitSimCore`](crate::bitsim::BitSimCore)
 //! queue. The filtered runner's slow path only consumes sampled outputs
-//! and switches to this core when a tape is supplied; the figure-clock
-//! parity batteries and the batteries below pin the equivalence.
+//! and always runs on this core; the figure-clock parity batteries and
+//! the batteries below pin the equivalence.
 
 use isa_core::batch::{segment_len, LaneBatch, LANES};
 use isa_netlist::builders::AdderNetlist;

@@ -1,7 +1,7 @@
 //! Transition recording and Value Change Dump (VCD) export.
 //!
 //! A [`Waveform`] captures every committed net transition of a
-//! [`crate::GateLevelSim`] run — initial state included — and serializes it
+//! [`crate::SimCore`] run — initial state included — and serializes it
 //! as an IEEE-1364 VCD file loadable by GTKWave and friends, the standard
 //! way to inspect a delay-annotated simulation (glitches, sampling hazards,
 //! path races).
@@ -169,7 +169,7 @@ fn sanitize_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::GateLevelSim;
+    use crate::sim::SimCore;
 
     use isa_netlist::graph::NetlistBuilder;
     use isa_netlist::timing::DelayAnnotation;
@@ -188,10 +188,10 @@ mod tests {
     fn recording_captures_all_commits() {
         let nl = xor_netlist();
         let ann = DelayAnnotation::from_delays(vec![20.0, 10.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.start_recording();
-        sim.set_inputs(&[true, false]);
-        sim.run_to_quiescence(1000).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.start_recording(&nl);
+        sim.set_inputs(&nl, &[true, false]);
+        sim.run_to_quiescence(&nl, 1000).unwrap();
         let wave = sim.take_recording().unwrap();
         // a rises, buf follows, y follows: 3 commits.
         assert_eq!(wave.len(), 3);
@@ -206,10 +206,10 @@ mod tests {
         // y = xor(buf(a), b): toggling a and b together makes y pulse.
         let nl = xor_netlist();
         let ann = DelayAnnotation::from_delays(vec![30.0, 5.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.start_recording();
-        sim.set_inputs(&[true, true]);
-        sim.run_to_quiescence(1000).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.start_recording(&nl);
+        sim.set_inputs(&nl, &[true, true]);
+        sim.run_to_quiescence(&nl, 1000).unwrap();
         let wave = sim.take_recording().unwrap();
         let y = *nl.outputs().first().unwrap();
         // y goes 0 -> 1 (b fast path) -> 0 (slow buf catches up): 1 glitch.
@@ -221,10 +221,10 @@ mod tests {
     fn vcd_document_is_well_formed() {
         let nl = xor_netlist();
         let ann = DelayAnnotation::from_delays(vec![20.0, 10.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.start_recording();
-        sim.set_inputs(&[true, false]);
-        sim.run_to_quiescence(1000).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.start_recording(&nl);
+        sim.set_inputs(&nl, &[true, false]);
+        sim.run_to_quiescence(&nl, 1000).unwrap();
         let wave = sim.take_recording().unwrap();
         let vcd = wave.to_vcd(&nl);
         assert!(vcd.contains("$timescale 1fs $end"));
@@ -265,11 +265,11 @@ mod tests {
     fn net_commit_counts_track_activity() {
         let nl = xor_netlist();
         let ann = DelayAnnotation::from_delays(vec![20.0, 10.0]);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.set_inputs(&[true, false]);
-        sim.run_to_quiescence(1000).unwrap();
-        sim.set_inputs(&[false, false]);
-        sim.run_to_quiescence(1000).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.set_inputs(&nl, &[true, false]);
+        sim.run_to_quiescence(&nl, 1000).unwrap();
+        sim.set_inputs(&nl, &[false, false]);
+        sim.run_to_quiescence(&nl, 1000).unwrap();
         let counts = sim.net_commit_counts();
         // Input a toggled twice; buf and y followed both times.
         assert_eq!(counts[nl.inputs()[0].index()], 2);

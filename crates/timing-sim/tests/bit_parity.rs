@@ -10,7 +10,7 @@ use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{Netlist, NetlistBuilder};
 use isa_netlist::sta::StaReport;
 use isa_netlist::timing::{DelayAnnotation, VariationModel};
-use isa_timing_sim::{run_clocked_batch, BitSimCore, ClockedSim, GateLevelSim};
+use isa_timing_sim::{run_clocked_batch, BitSimCore, ClockedCore, SimCore};
 use proptest::prelude::*;
 
 /// Recipe for one random cell: kind selector plus input selectors.
@@ -101,8 +101,8 @@ proptest! {
         let pins = nl.inputs().len();
 
         let mut word = BitSimCore::new(&nl, &ann);
-        let mut scalars: Vec<GateLevelSim<'_>> =
-            (0..LANES).map(|_| GateLevelSim::new(&nl, &ann)).collect();
+        let mut scalars: Vec<SimCore> =
+            (0..LANES).map(|_| SimCore::new(&nl, &ann)).collect();
 
         for (round, &seed) in seeds.iter().enumerate() {
             let vectors: Vec<Vec<bool>> =
@@ -111,8 +111,8 @@ proptest! {
             let t = word.now_fs() + step_fs;
             word.run_until(&nl, t);
             for (l, scalar) in scalars.iter_mut().enumerate() {
-                scalar.set_inputs(&vectors[l]);
-                scalar.run_until(t);
+                scalar.set_inputs(&nl, &vectors[l]);
+                scalar.run_until(&nl, t);
                 for net_idx in 0..nl.net_count() {
                     let net = isa_netlist::graph::NetId::from_index(net_idx);
                     prop_assert_eq!(
@@ -167,9 +167,9 @@ proptest! {
                 break;
             }
             let end = (start + seg).min(n);
-            let mut scalar = ClockedSim::new(adder.netlist(), &ann, period);
+            let mut scalar = ClockedCore::new(adder.netlist(), &ann, period);
             for (off, &(a, b)) in inputs[start..end].iter().enumerate() {
-                let expect = scalar.step(&adder.input_values(a, b));
+                let expect = scalar.step(adder.netlist(), &adder.input_values(a, b));
                 prop_assert_eq!(
                     sampled[start + off], expect,
                     "lane {} cycle {} at {:.2}x crit", l, off, overclock

@@ -7,7 +7,7 @@ use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{Netlist, NetlistBuilder};
 use isa_netlist::sta::StaReport;
 use isa_netlist::timing::{DelayAnnotation, VariationModel};
-use isa_timing_sim::{ps_to_fs, GateLevelSim};
+use isa_timing_sim::{ps_to_fs, SimCore};
 use proptest::prelude::*;
 
 /// Recipe for one random cell: kind selector plus input selectors.
@@ -70,13 +70,13 @@ proptest! {
         let lib = CellLibrary::industrial_65nm();
         let ann = DelayAnnotation::nominal(&nl, &lib)
             .perturbed(&VariationModel::new(0.08, delay_seed));
-        let mut sim = GateLevelSim::new(&nl, &ann);
+        let mut sim = SimCore::new(&nl, &ann);
         for &seed in &seeds {
             let inputs = input_vector(&nl, seed);
-            sim.set_inputs(&inputs);
-            sim.run_to_quiescence(2_000_000).unwrap();
+            sim.set_inputs(&nl, &inputs);
+            sim.run_to_quiescence(&nl, 2_000_000).unwrap();
             let expected = nl.evaluate_outputs_u64(&inputs);
-            prop_assert_eq!(sim.outputs_u64(), expected);
+            prop_assert_eq!(sim.outputs_u64(&nl), expected);
         }
     }
 
@@ -92,13 +92,13 @@ proptest! {
         let ann = DelayAnnotation::nominal(&nl, &lib);
         let sta = StaReport::analyze(&nl, &ann);
         let period = ps_to_fs(sta.critical_ps() + 1.0);
-        let mut sim = GateLevelSim::new(&nl, &ann);
+        let mut sim = SimCore::new(&nl, &ann);
         for &seed in &seeds {
             let inputs = input_vector(&nl, seed);
             let t0 = sim.now_fs();
-            sim.set_inputs(&inputs);
-            sim.run_until(t0 + period);
-            prop_assert_eq!(sim.outputs_u64(), nl.evaluate_outputs_u64(&inputs));
+            sim.set_inputs(&nl, &inputs);
+            sim.run_until(&nl, t0 + period);
+            prop_assert_eq!(sim.outputs_u64(&nl), nl.evaluate_outputs_u64(&inputs));
         }
     }
 
@@ -111,12 +111,12 @@ proptest! {
         let nl = build_random(4, &recipes);
         let lib = CellLibrary::industrial_65nm();
         let ann = DelayAnnotation::nominal(&nl, &lib);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.start_recording();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.start_recording(&nl);
         for &seed in &seeds {
             let inputs = input_vector(&nl, seed);
-            sim.set_inputs(&inputs);
-            sim.run_to_quiescence(2_000_000).unwrap();
+            sim.set_inputs(&nl, &inputs);
+            sim.run_to_quiescence(&nl, 2_000_000).unwrap();
         }
         let wave = sim.take_recording().unwrap();
         let counts = sim.net_commit_counts();
@@ -142,10 +142,10 @@ proptest! {
         let nl = build_random(3, &recipes);
         let lib = CellLibrary::industrial_65nm();
         let ann = DelayAnnotation::nominal(&nl, &lib);
-        let mut sim = GateLevelSim::new(&nl, &ann);
-        sim.start_recording();
-        sim.set_inputs(&input_vector(&nl, seed));
-        sim.run_to_quiescence(2_000_000).unwrap();
+        let mut sim = SimCore::new(&nl, &ann);
+        sim.start_recording(&nl);
+        sim.set_inputs(&nl, &input_vector(&nl, seed));
+        sim.run_to_quiescence(&nl, 2_000_000).unwrap();
         let wave = sim.take_recording().unwrap();
         let vcd = wave.to_vcd(&nl);
         prop_assert_eq!(vcd.matches("$var wire 1 ").count(), nl.net_count());

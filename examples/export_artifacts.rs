@@ -8,7 +8,7 @@
 use overclocked_isa::core::{Design, IsaConfig};
 use overclocked_isa::experiments::{DesignContext, ExperimentConfig};
 use overclocked_isa::netlist::{sdf, verilog};
-use overclocked_isa::timing_sim::{ps_to_fs, GateLevelSim};
+use overclocked_isa::timing_sim::{ps_to_fs, SimCore};
 use overclocked_isa::workloads::{take_pairs, UniformWorkload};
 
 fn main() -> std::io::Result<()> {
@@ -36,12 +36,12 @@ fn main() -> std::io::Result<()> {
 
     // A short overclocked run with full waveform recording.
     let clk_fs = ps_to_fs(config.clock_ps(0.15));
-    let mut sim = GateLevelSim::new(netlist, &ctx.annotation);
-    sim.start_recording();
+    let mut sim = SimCore::new(netlist, &ctx.annotation);
+    sim.start_recording(netlist);
     for (a, b) in take_pairs(UniformWorkload::new(32, 0xA57), 32) {
         let t0 = sim.now_fs();
-        sim.set_inputs(&ctx.synthesized.adder.input_values(a, b));
-        sim.run_until(t0 + clk_fs);
+        sim.set_inputs(netlist, &ctx.synthesized.adder.input_values(a, b));
+        sim.run_until(netlist, t0 + clk_fs);
     }
     let wave = sim.take_recording().expect("recording active");
     let vcd_path = format!("{base}.vcd");

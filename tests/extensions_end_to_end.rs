@@ -13,7 +13,7 @@ use overclocked_isa::metrics::abper;
 use overclocked_isa::netlist::cell::CellLibrary;
 use overclocked_isa::netlist::{sdf, verilog};
 use overclocked_isa::timing_sim::razor::{run_razor_trace, RazorConfig};
-use overclocked_isa::timing_sim::{measure_energy, GateLevelSim};
+use overclocked_isa::timing_sim::{measure_energy, SimCore};
 use overclocked_isa::workloads::{take_pairs, UniformWorkload};
 
 #[test]
@@ -60,14 +60,14 @@ fn energy_model_tracks_clock_independent_activity() {
     let mut dynamic = Vec::new();
     for period in [config.period_ps, config.clock_ps(0.15)] {
         let netlist = ctx.synthesized.adder.netlist();
-        let mut sim = GateLevelSim::new(netlist, &ctx.annotation);
+        let mut sim = SimCore::new(netlist, &ctx.annotation);
         for &(a, b) in &inputs {
             let t0 = sim.now_fs();
-            sim.set_inputs(&ctx.synthesized.adder.input_values(a, b));
-            sim.run_until(t0 + overclocked_isa::timing_sim::ps_to_fs(period));
+            sim.set_inputs(netlist, &ctx.synthesized.adder.input_values(a, b));
+            sim.run_until(netlist, t0 + overclocked_isa::timing_sim::ps_to_fs(period));
         }
         // Drain residual activity so both runs count every transition.
-        sim.run_to_quiescence(10_000_000).unwrap();
+        sim.run_to_quiescence(netlist, 10_000_000).unwrap();
         dynamic.push(measure_energy(&sim, netlist, &lib).dynamic_fj);
     }
     let ratio = dynamic[0] / dynamic[1];

@@ -5,7 +5,7 @@
 use overclocked_isa::core::paper_designs;
 use overclocked_isa::experiments::{DesignContext, ExperimentConfig};
 use overclocked_isa::netlist::sta::StaReport;
-use overclocked_isa::timing_sim::{ps_to_fs, GateLevelSim};
+use overclocked_isa::timing_sim::{ps_to_fs, SimCore};
 use overclocked_isa::workloads::{take_pairs, UniformWorkload};
 
 #[test]
@@ -19,11 +19,11 @@ fn sta_bounds_every_settle_time() {
         // femtoseconds, so a deep path can drift a few fs past the rounded
         // STA sum.
         let bound_fs = ps_to_fs(sta.critical_ps() + 1.0);
-        let mut sim = GateLevelSim::new(netlist, &ctx.annotation);
+        let mut sim = SimCore::new(netlist, &ctx.annotation);
         for (a, b) in take_pairs(UniformWorkload::new(32, 0xB0B), 60) {
             let t0 = sim.now_fs();
-            sim.set_inputs(&ctx.synthesized.adder.input_values(a, b));
-            sim.run_until(t0 + bound_fs);
+            sim.set_inputs(netlist, &ctx.synthesized.adder.input_values(a, b));
+            sim.run_until(netlist, t0 + bound_fs);
             assert!(
                 sim.pending_horizon_fs().is_none(),
                 "{}: activity beyond the STA bound (a={a:#x}, b={b:#x})",
