@@ -62,7 +62,7 @@ pub use cache::ArtifactCache;
 pub use context::{BuildError, DesignContext, ExperimentConfig, SimBackend};
 pub use engine::{Engine, RunResult, RunUnit};
 pub use plan::{ExperimentPlan, SubstrateChoice, WorkloadSpec};
-pub use substrates::{cycles_with_segment_resets, GateLevelSubstrate, PredictedSubstrate};
+pub use substrates::{GateLevelSubstrate, PredictedSubstrate};
 
 /// The metric registry and span tracing every layer reports into,
 /// re-exported so pipeline binaries can read the `engine.*` and

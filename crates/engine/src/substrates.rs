@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use isa_core::combine::SilverSource;
-use isa_core::segment_len;
 use isa_core::substrate::{CostClass, Substrate};
 use isa_core::{Adder, Design};
 use isa_learn::{CyclePair, PredictorConfig, TimingErrorPredictor};
@@ -201,9 +200,10 @@ impl PredictedSubstrate {
     /// The sampled words come from [`GateLevelSubstrate::run_batch`] on
     /// the configured backend. On the lane-dealing backends the `x[t-1]`
     /// features then follow each *lane's* actual predecessor, restarting
-    /// from the reset state at segment seams (see
-    /// [`cycles_with_segment_resets`]) so features always describe the
-    /// circuit state that physically produced the labels.
+    /// from the reset state at segment seams
+    /// ([`CyclePair::from_segmented_stream`] with
+    /// [`SimBackend::seam_len`]) so features always describe the circuit
+    /// state that physically produced the labels.
     fn train(&self, design: &Design, clock_ps: f64) -> TimingErrorPredictor {
         let gate_level = GateLevelSubstrate::new(Arc::clone(&self.cache), self.config.clone());
         let ctx = gate_level.context(design);
@@ -216,15 +216,12 @@ impl PredictedSubstrate {
             .synthesized
             .adder
             .add_batch_with_tape(ctx.tape(), &inputs);
-        let raw: Vec<(u64, u64, u64, u64)> = inputs
+        let raw = inputs
             .iter()
             .zip(sampled.iter().zip(&settled))
-            .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set))
-            .collect();
-        let cycles = match self.config.backend.seam_len(inputs.len()) {
-            None => CyclePair::from_stream(&raw),
-            Some(_) => cycles_with_segment_resets(&raw),
-        };
+            .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set));
+        let cycles =
+            CyclePair::from_segmented_stream(raw, self.config.backend.seam_len(inputs.len()));
         TimingErrorPredictor::train(&cycles, design.width(), &self.predictor_config)
     }
 }
@@ -236,37 +233,6 @@ impl std::fmt::Debug for PredictedSubstrate {
             .field("train_seed", &self.train_seed)
             .finish_non_exhaustive()
     }
-}
-
-/// Builds the predictor's cycle stream from stream-ordered `(a, b, gold,
-/// flips)` data produced by the **bit-sliced** backend: like
-/// [`CyclePair::from_stream`], but the `t-1` features reset to the
-/// all-zero state at every lane-segment seam (`i % segment_len(n) == 0`),
-/// where the 64-lane simulator's circuit state actually restarted from
-/// reset.
-#[must_use]
-pub fn cycles_with_segment_resets(raw: &[(u64, u64, u64, u64)]) -> Vec<CyclePair> {
-    let seg = segment_len(raw.len());
-    let mut prev = (0u64, 0u64, 0u64);
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(a, b, gold, flips))| {
-            if i % seg == 0 {
-                prev = (0, 0, 0);
-            }
-            let pair = CyclePair {
-                a,
-                b,
-                a_prev: prev.0,
-                b_prev: prev.1,
-                gold,
-                gold_prev: prev.2,
-                flips,
-            };
-            prev = (a, b, gold);
-            pair
-        })
-        .collect()
 }
 
 /// One predictor session: golden model plus previous-cycle state (the
@@ -311,6 +277,20 @@ impl Substrate for PredictedSubstrate {
 
     fn cost_class(&self) -> CostClass {
         CostClass::Predicted
+    }
+
+    /// Whole-stream prediction on the plane datapath
+    /// ([`TimingErrorPredictor::predict_flips_batch`]): golden outputs from
+    /// the behavioural model's batch evaluation, the `t-1` features chained
+    /// through the whole stream exactly as one [`prepare`](Substrate::prepare)
+    /// session chains them, and every cycle's silver word equal to that
+    /// session's.
+    fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
+        let predictor = self.predictor(design, clock_ps);
+        let gold = design.behavioural().add_batch(inputs);
+        let raw = inputs.iter().zip(&gold).map(|(&(a, b), &g)| (a, b, g, 0));
+        let flips = predictor.predict_flips_batch(&CyclePair::from_segmented_stream(raw, None));
+        gold.iter().zip(&flips).map(|(&g, &f)| g ^ f).collect()
     }
 }
 
@@ -362,5 +342,38 @@ mod tests {
         let gold = design.behavioural();
         let mut session = substrate.prepare(&design, clk);
         assert_eq!(session.next_silver(7, 9), gold.add(7, 9));
+    }
+
+    #[test]
+    fn predicted_run_batch_equals_the_session_loop() {
+        // The exact adder at 15% CPR trains forests on most upper bits, so
+        // the batch override has real predictions to get right; stream
+        // lengths cover a single cycle, exact blocks and ragged tails.
+        let (cache, config) = shared();
+        let substrate = PredictedSubstrate::new(cache, config.clone(), 1_500);
+        let design = Design::Exact { width: 32 };
+        let clk = config.clock_ps(0.15);
+        assert!(substrate.predictor(&design, clk).trained_bits() > 0);
+        let gold = design.behavioural();
+        let inputs = take_pairs(UniformWorkload::new(32, 0xBA7C), 300);
+        for n in [1, 64, 65, 127, 300] {
+            let inputs = &inputs[..n];
+            let batch = substrate.run_batch(&design, clk, inputs);
+            let mut session = substrate.prepare(&design, clk);
+            let looped: Vec<u64> = inputs
+                .iter()
+                .map(|&(a, b)| session.next_silver(a, b))
+                .collect();
+            assert_eq!(batch, looped, "{n} cycles");
+            if n == 300 {
+                let flagged = inputs
+                    .iter()
+                    .zip(&batch)
+                    .filter(|(&(a, b), &silver)| silver != gold.add(a, b))
+                    .count();
+                assert!(flagged > 0, "the model must predict some timing errors");
+            }
+        }
+        assert!(substrate.run_batch(&design, clk, &[]).is_empty());
     }
 }

@@ -1,19 +1,27 @@
 //! The segment-seam contract of batched feature extraction.
 //!
-//! On the bit-sliced backend a run's input stream is dealt to 64 lanes in
-//! contiguous segments, and the simulated circuit restarts from reset at
-//! every segment seam. The predictor's `x[t-1]` features must follow the
-//! *physical* predecessor, so the batched extraction
-//! ([`cycles_with_segment_resets`]) has to equal the scalar path —
+//! On the bit-sliced and filtered backends a run's input stream is dealt to
+//! 64 lanes in contiguous segments, and the simulated circuit restarts from
+//! reset at every segment seam. The predictor's `x[t-1]` features must
+//! follow the *physical* predecessor, so the seam-aware cycle builder
+//! ([`CyclePair::from_segmented_stream`] at the backend's
+//! [`SimBackend::seam_len`]) has to equal the scalar path —
 //! [`CyclePair::from_stream`] applied to each segment independently — for
 //! every stream length, especially the non-multiple-of-64 ones whose last
-//! segment is ragged. The prediction and guardband pipelines inline the
-//! same `i % segment_len(n) == 0` reset rule; this test pins the shared
-//! contract.
+//! segment is ragged. Predictor training, the Figs. 7–8 evaluation and the
+//! guardband study all build their cycles with that one helper; this test
+//! pins its contract.
 
 use isa_core::segment_len;
-use isa_engine::cycles_with_segment_resets;
+use isa_engine::SimBackend;
 use isa_learn::CyclePair;
+
+/// The seam-aware builder at the lane-dealing backends' segment length.
+fn cycles_with_segment_resets(raw: &[(u64, u64, u64, u64)]) -> Vec<CyclePair> {
+    let seam = SimBackend::Filtered.seam_len(raw.len());
+    assert_eq!(seam, SimBackend::BitSliced.seam_len(raw.len()));
+    CyclePair::from_segmented_stream(raw.iter().copied(), seam)
+}
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random per-cycle records (SplitMix64-style).

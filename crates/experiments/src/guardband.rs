@@ -172,24 +172,15 @@ pub fn run_on(
             // On the bit-sliced and filtered backends the circuit
             // restarted from reset at every lane-segment seam: reset the
             // predictor's x[t-1] features at the same positions.
+            let raw = trace
+                .iter()
+                .map(|&(a, b, gold_y, silver)| (a, b, gold_y, silver ^ gold_y));
             let seam = unit.config.backend.seam_len(trace.len());
-            let mut prev = (0u64, 0u64, 0u64);
-            for (i, &(a, b, gold_y, silver)) in trace.iter().enumerate() {
-                if seam.is_some_and(|seg| i % seg == 0) {
-                    prev = (0, 0, 0);
-                }
-                let cycle = CyclePair {
-                    a,
-                    b,
-                    a_prev: prev.0,
-                    b_prev: prev.1,
-                    gold: gold_y,
-                    gold_prev: prev.2,
-                    flips: silver ^ gold_y,
-                };
-                prev = (a, b, gold_y);
+            let cycles = CyclePair::from_segmented_stream(raw, seam);
+            let predicted_flips = predictor.predict_flips_batch(&cycles);
+            for (&(a, b, gold_y, silver), &predicted) in trace.iter().zip(&predicted_flips) {
                 // Replay at the safe clock leaves only structural error.
-                let committed = if predictor.predict_flips(&cycle) != 0 {
+                let committed = if predicted != 0 {
                     flagged += 1;
                     gold_y
                 } else {

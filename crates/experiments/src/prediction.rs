@@ -113,34 +113,28 @@ pub fn run_on(
         // from reset at every lane-segment seam; the model's x[t-1]
         // features must follow the *physical* predecessor, so reset them
         // at the same positions.
+        let raw = unit
+            .inputs
+            .iter()
+            .zip(&real_silvers)
+            .map(|(&(a, b), &real_silver)| {
+                let gold_y = gold.add(a, b);
+                (a, b, gold_y, real_silver ^ gold_y)
+            });
         let seam = unit.config.backend.seam_len(unit.inputs.len());
+        let cycles = CyclePair::from_segmented_stream(raw, seam);
+        let predicted_flips = predictor.predict_flips_batch(&cycles);
         let mut abper = AbperAccumulator::new(unit.design.width() + 1);
         let mut avpe = AvpeAccumulator::new();
         let mut erroneous = 0usize;
-        let mut prev = (0u64, 0u64, 0u64);
-        for (i, &(a, b)) in unit.inputs.iter().enumerate() {
-            if seam.is_some_and(|seg| i % seg == 0) {
-                prev = (0, 0, 0);
-            }
-            let gold_y = gold.add(a, b);
-            let real_silver = real_silvers[i];
-            let real_flips = real_silver ^ gold_y;
-            let cycle = CyclePair {
-                a,
-                b,
-                a_prev: prev.0,
-                b_prev: prev.1,
-                gold: gold_y,
-                gold_prev: prev.2,
-                flips: real_flips,
-            };
-            let predicted_flips = predictor.predict_flips(&cycle);
-            abper.record(predicted_flips, real_flips);
-            avpe.record(gold_y ^ predicted_flips, real_silver);
-            if real_flips != 0 {
+        for ((cycle, &predicted), &real_silver) in
+            cycles.iter().zip(&predicted_flips).zip(&real_silvers)
+        {
+            abper.record(predicted, cycle.flips);
+            avpe.record(cycle.gold ^ predicted, real_silver);
+            if cycle.flips != 0 {
                 erroneous += 1;
             }
-            prev = (a, b, gold_y);
         }
         PredictionPoint {
             cpr: unit.cpr,

@@ -110,60 +110,13 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Builds a dataset directly from column-major feature planes and a
-    /// label plane over `len` samples — the zero-rebuild path for callers
-    /// that already hold bit-planes (e.g. the per-bit predictor, whose 4w
-    /// base-feature planes are shared by every output bit's dataset).
-    ///
-    /// Stray bits above `len` are masked off. The row-major mirror is not
-    /// materialized, so [`Self::sample`] must not be called on a
-    /// plane-built dataset (tree fitting and prediction never do).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` is empty, `len` is zero, or any plane (or the
-    /// label plane) has the wrong word count.
-    #[must_use]
-    pub fn from_planes(mut planes: Vec<Vec<u64>>, mut label_plane: Vec<u64>, len: usize) -> Self {
-        assert!(!planes.is_empty(), "datasets need at least one feature");
-        assert!(len > 0, "datasets need at least one sample");
-        let words = len.div_ceil(64);
-        let tail_mask = if len.is_multiple_of(64) {
-            u64::MAX
-        } else {
-            (1u64 << (len % 64)) - 1
-        };
-        assert_eq!(label_plane.len(), words, "label plane has wrong length");
-        label_plane[words - 1] &= tail_mask;
-        for plane in &mut planes {
-            assert_eq!(plane.len(), words, "feature plane has wrong length");
-            plane[words - 1] &= tail_mask;
+    /// The borrowed bit-plane view tree growth reads.
+    pub(crate) fn planes(&self) -> Planes<'_> {
+        Planes {
+            features: self.planes.iter().map(Vec::as_slice).collect(),
+            labels: &self.label_plane,
+            len: self.len(),
         }
-        let labels: Vec<bool> = (0..len)
-            .map(|i| (label_plane[i / 64] >> (i % 64)) & 1 == 1)
-            .collect();
-        let num_features = planes.len();
-        Self {
-            num_features,
-            words_per_sample: num_features.div_ceil(64),
-            data: Vec::new(),
-            labels,
-            planes,
-            label_plane,
-        }
-    }
-
-    /// The bit-plane of feature `f` over all samples (bit `i % 64` of word
-    /// `i / 64` is the feature in sample `i`).
-    #[must_use]
-    pub fn feature_plane(&self, f: usize) -> &[u64] {
-        &self.planes[f]
-    }
-
-    /// The labels as a bit-plane over all samples.
-    #[must_use]
-    pub fn label_plane(&self) -> &[u64] {
-        &self.label_plane
     }
 
     /// The packed feature words of sample `i`.
@@ -210,6 +163,22 @@ impl Dataset {
         let test = indices.split_off(cut.min(self.len()));
         (indices, test)
     }
+}
+
+/// A borrowed column-major view of a binary-feature training set: one
+/// bit-plane per feature plus the label plane, over `len` samples (bit
+/// `i % 64` of word `i / 64` is sample `i`; bits at and above `len` are
+/// zero). Tree growth reads only this view, so callers that already hold
+/// bit-planes (the per-bit predictor, whose 4w base-feature planes are
+/// shared by every output bit) lend them without copying.
+#[derive(Debug, Clone)]
+pub(crate) struct Planes<'a> {
+    /// One plane per feature.
+    pub features: Vec<&'a [u64]>,
+    /// The label plane.
+    pub labels: &'a [u64],
+    /// Number of samples.
+    pub len: usize,
 }
 
 /// Tests a feature inside a packed sample without unpacking.

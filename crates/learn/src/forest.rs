@@ -9,8 +9,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::dataset::{Dataset, Planes};
+use crate::planes::VoteCounter;
+use crate::tree::{DecisionTree, LaneProgram, TreeConfig};
 
 /// How many features each split examines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,25 +85,36 @@ impl RandomForest {
     /// Panics if `indices` is empty or the config requests zero trees.
     #[must_use]
     pub fn fit(dataset: &Dataset, indices: &[usize], config: &ForestConfig) -> Self {
+        Self::fit_planes(&dataset.planes(), indices, config)
+    }
+
+    /// [`Self::fit`] over a borrowed plane view.
+    pub(crate) fn fit_planes(
+        planes: &Planes<'_>,
+        indices: &[usize],
+        config: &ForestConfig,
+    ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a forest on zero samples");
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let tree_config = TreeConfig {
-            feature_subsample: config.features.resolve(dataset.num_features()),
+            feature_subsample: config.features.resolve(planes.features.len()),
             ..config.tree
         };
+        let keep = if config.bootstrap {
+            ((indices.len() as f64 * 0.632).ceil() as usize).max(1)
+        } else {
+            indices.len()
+        };
+        let mut bag = Vec::with_capacity(indices.len());
         let trees = (0..config.n_trees)
             .map(|_| {
-                let bag: Vec<usize> = if config.bootstrap {
-                    let mut bag = indices.to_vec();
+                bag.clear();
+                bag.extend_from_slice(indices);
+                if config.bootstrap {
                     bag.shuffle(&mut rng);
-                    let keep = ((indices.len() as f64 * 0.632).ceil() as usize).max(1);
-                    bag.truncate(keep);
-                    bag
-                } else {
-                    indices.to_vec()
-                };
-                DecisionTree::fit(dataset, &bag, &tree_config, &mut rng)
+                }
+                DecisionTree::fit_planes(planes, &bag[..keep], &tree_config, &mut rng)
             })
             .collect();
         Self { trees }
@@ -120,6 +132,13 @@ impl RandomForest {
     pub fn predict(&self, sample: &[u64]) -> bool {
         let votes = self.trees.iter().filter(|t| t.predict(sample)).count();
         2 * votes > self.trees.len()
+    }
+
+    /// The forest compiled for lane-mask inference.
+    pub(crate) fn lane_programs(&self) -> ForestLanes {
+        ForestLanes {
+            trees: self.trees.iter().map(DecisionTree::lane_program).collect(),
+        }
     }
 
     /// Number of trees.
@@ -195,6 +214,31 @@ impl RandomForest {
             }
         }
         total
+    }
+}
+
+/// A forest compiled for lane-mask inference: one [`LaneProgram`] per tree.
+#[derive(Debug)]
+pub(crate) struct ForestLanes {
+    trees: Vec<LaneProgram>,
+}
+
+impl ForestLanes {
+    /// Classifies 64 cycles at once by majority vote: each tree's
+    /// positive lanes ([`LaneProgram::positive_lanes`]) are added to a
+    /// bit-sliced counter, and a lane is positive when `2 · votes > trees`,
+    /// exactly as in [`RandomForest::predict`].
+    pub(crate) fn majority_lanes(
+        &self,
+        features: &[u64],
+        lanes: u64,
+        stack: &mut Vec<(u32, u64)>,
+    ) -> u64 {
+        let mut votes = VoteCounter::new();
+        for tree in &self.trees {
+            votes.add(tree.positive_lanes(features, lanes, stack));
+        }
+        votes.majority(self.trees.len(), lanes)
     }
 }
 

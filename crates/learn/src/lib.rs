@@ -26,6 +26,7 @@
 pub mod dataset;
 pub mod eval;
 pub mod forest;
+mod planes;
 pub mod predictor;
 pub mod serialize;
 pub mod tree;

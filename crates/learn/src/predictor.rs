@@ -9,10 +9,14 @@
 //! The model "does not directly generate arithmetic values, it only
 //! generates timing-class vectors" ([`TimingErrorPredictor::predict_flips`])
 //! "and deduces the corresponding ysilver compared to the expected output
-//! ygold" ([`TimingErrorPredictor::predict_silver`]).
+//! ygold" ([`TimingErrorPredictor::predict_silver`]). Whole streams go
+//! through [`TimingErrorPredictor::predict_flips_batch`], which evaluates
+//! the forests on bit-planes 64 cycles at a time; the per-cycle methods are
+//! its oracle and serve cycle-by-cycle sessions.
 
-use crate::dataset::Dataset;
-use crate::forest::{ForestConfig, RandomForest};
+use crate::dataset::Planes;
+use crate::forest::{ForestConfig, ForestLanes, RandomForest};
+use crate::planes::{pack_planes, transpose64};
 
 /// One training/inference cycle of an overclocked adder stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,10 +44,39 @@ impl CyclePair {
     /// predecessor is the all-zero reset state.
     #[must_use]
     pub fn from_stream(cycles: &[(u64, u64, u64, u64)]) -> Vec<CyclePair> {
+        Self::from_segmented_stream(cycles.iter().copied(), None)
+    }
+
+    /// Like [`Self::from_stream`] over any stream-ordered `(a, b, gold,
+    /// flips)` iterator, but with the `t-1` fields reset to the all-zero
+    /// state at every segment seam (`i % seam == 0`) when `seam` is
+    /// `Some`.
+    ///
+    /// This is the one place the seam rule lives. The lane-dealing
+    /// gate-level backends deal a stream to 64 lanes in contiguous
+    /// segments and each lane's circuit starts from reset, so a model
+    /// trained or evaluated on their samples must see the *physical*
+    /// predecessor; pass the backend's segment length (`SimBackend::seam_len`
+    /// in `isa-engine`), or `None` for a stream simulated as one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seam` is `Some(0)`.
+    #[must_use]
+    pub fn from_segmented_stream(
+        cycles: impl IntoIterator<Item = (u64, u64, u64, u64)>,
+        seam: Option<usize>,
+    ) -> Vec<CyclePair> {
+        let seam = seam.unwrap_or(usize::MAX);
+        assert!(seam > 0, "segments must hold at least one cycle");
         let mut prev = (0u64, 0u64, 0u64);
         cycles
-            .iter()
-            .map(|&(a, b, gold, flips)| {
+            .into_iter()
+            .enumerate()
+            .map(|(i, (a, b, gold, flips))| {
+                if i % seam == 0 {
+                    prev = (0, 0, 0);
+                }
                 let pair = CyclePair {
                     a,
                     b,
@@ -60,12 +93,79 @@ impl CyclePair {
     }
 }
 
+/// A cycle stream packed into bit-planes ([`crate::planes`]): the 4w
+/// base-feature planes (`x[t]`, `x[t-1]`), shared by every output bit, and
+/// each output bit's two gold planes. Plane `j` of a field spans
+/// `words` words.
+struct StreamPlanes {
+    words: usize,
+    base: Vec<u64>,
+    gold_prev: Vec<u64>,
+    gold: Vec<u64>,
+}
+
+impl StreamPlanes {
+    fn pack(cycles: &[CyclePair], width: u32) -> Self {
+        let (w, out_bits) = (width as usize, width as usize + 1);
+        let operands: [fn(&CyclePair) -> u64; 4] = [|c| c.a, |c| c.b, |c| c.a_prev, |c| c.b_prev];
+        let mut base = Vec::new();
+        for field in operands {
+            pack_planes(cycles, w, field, &mut base);
+        }
+        let (mut gold_prev, mut gold) = (Vec::new(), Vec::new());
+        pack_planes(cycles, out_bits, |c| c.gold_prev, &mut gold_prev);
+        pack_planes(cycles, out_bits, |c| c.gold, &mut gold);
+        Self {
+            words: cycles.len().div_ceil(64),
+            base,
+            gold_prev,
+            gold,
+        }
+    }
+
+    /// Plane `j` of a plane-major field.
+    fn plane<'f>(&self, field: &'f [u64], j: usize) -> &'f [u64] {
+        &field[j * self.words..(j + 1) * self.words]
+    }
+
+    /// Output bit `bit`'s training view: the shared base planes, its two
+    /// gold planes, and its label plane, all borrowed.
+    fn bit_view<'a>(&'a self, bit: usize, labels: &'a [u64], len: usize) -> Planes<'a> {
+        let base_planes = self.base.len() / self.words;
+        let mut features: Vec<&[u64]> = (0..base_planes)
+            .map(|f| self.plane(&self.base, f))
+            .collect();
+        features.push(self.plane(&self.gold_prev, bit));
+        features.push(self.plane(&self.gold, bit));
+        Planes {
+            features,
+            labels,
+            len,
+        }
+    }
+}
+
 /// Per-bit model: a trained forest, or a constant for bits with constant
 /// training labels.
 #[derive(Debug, Clone, PartialEq)]
 enum BitModel {
     Constant(bool),
     Forest(RandomForest),
+}
+
+/// A bit model compiled for lane-mask inference.
+enum BitLanes {
+    Constant(bool),
+    Forest(ForestLanes),
+}
+
+impl BitModel {
+    fn lane_program(&self) -> BitLanes {
+        match self {
+            BitModel::Constant(c) => BitLanes::Constant(*c),
+            BitModel::Forest(forest) => BitLanes::Forest(forest.lane_programs()),
+        }
+    }
 }
 
 /// Configuration of the full per-bit predictor.
@@ -142,50 +242,24 @@ impl TimingErrorPredictor {
         assert!(width > 0 && width <= 63, "width must be in 1..=63");
         let out_bits = width + 1;
         let n = cycles.len();
-        let words = n.div_ceil(64);
-        let w = width as usize;
-        // The 4w base-feature planes (x[t], x[t-1]) are identical for
-        // every output bit: build them once, column-major, and share them
-        // across the per-bit datasets by clone — the bit-sliced layout
-        // tree growth counts splits on directly.
-        let mut base_planes = vec![vec![0u64; words]; 4 * w];
-        for (i, c) in cycles.iter().enumerate() {
-            let (word, bit) = (i / 64, i % 64);
-            for (slot, value) in [c.a, c.b, c.a_prev, c.b_prev].into_iter().enumerate() {
-                for j in 0..w {
-                    if (value >> j) & 1 == 1 {
-                        base_planes[slot * w + j][word] |= 1u64 << bit;
-                    }
-                }
-            }
-        }
-
+        let stream = StreamPlanes::pack(cycles, width);
+        let mut labels = Vec::new();
+        pack_planes(cycles, out_bits as usize, |c| c.flips, &mut labels);
+        let indices: Vec<usize> = (0..n).collect();
         let models = (0..out_bits)
             .map(|n_bit| {
-                let mut label_plane = vec![0u64; words];
-                let mut gold_prev_plane = vec![0u64; words];
-                let mut gold_plane = vec![0u64; words];
-                for (i, c) in cycles.iter().enumerate() {
-                    let (word, bit) = (i / 64, i % 64);
-                    label_plane[word] |= ((c.flips >> n_bit) & 1) << bit;
-                    gold_prev_plane[word] |= ((c.gold_prev >> n_bit) & 1) << bit;
-                    gold_plane[word] |= ((c.gold >> n_bit) & 1) << bit;
-                }
+                let label_plane = stream.plane(&labels, n_bit as usize);
                 let positives: usize = label_plane.iter().map(|w| w.count_ones() as usize).sum();
                 if positives == 0 || positives == n {
                     return BitModel::Constant(positives == n);
                 }
-                let mut planes = base_planes.clone();
-                planes.push(gold_prev_plane);
-                planes.push(gold_plane);
-                debug_assert_eq!(planes.len(), feature_count(width));
-                let dataset = Dataset::from_planes(planes, label_plane, n);
-                let indices: Vec<usize> = (0..dataset.len()).collect();
+                let planes = stream.bit_view(n_bit as usize, label_plane, n);
+                debug_assert_eq!(planes.features.len(), feature_count(width));
                 let forest_config = ForestConfig {
                     seed: config.forest.seed ^ (u64::from(n_bit) << 32),
                     ..config.forest
                 };
-                BitModel::Forest(RandomForest::fit(&dataset, &indices, &forest_config))
+                BitModel::Forest(RandomForest::fit_planes(&planes, &indices, &forest_config))
             })
             .collect();
         Self {
@@ -238,6 +312,50 @@ impl TimingErrorPredictor {
             if erroneous {
                 flips |= 1 << n;
             }
+        }
+        flips
+    }
+
+    /// Predicts the timing-class vectors of a whole cycle stream, equal
+    /// element for element to [`Self::predict_flips`] on each cycle.
+    ///
+    /// Inference runs on the plane datapath: each tree is compiled once per
+    /// call into a lane program, the stream is packed once into bit-planes,
+    /// and each block of 64 cycles walks every tree of a bit's forest with
+    /// lane masks (a child's mask is the parent's AND
+    /// the feature plane word, or AND its complement; empty masks are
+    /// pruned). Positive leaves OR into a vote plane, a bit-sliced
+    /// counter sums the trees' votes, and the strict majority is taken in
+    /// planes, so one descent classifies 64 cycles with the integer vote
+    /// of the scalar path.
+    #[must_use]
+    pub fn predict_flips_batch(&self, cycles: &[CyclePair]) -> Vec<u64> {
+        let stream = StreamPlanes::pack(cycles, self.width);
+        let models: Vec<BitLanes> = self.models.iter().map(BitModel::lane_program).collect();
+        let base_planes = 4 * self.width as usize;
+        let mut features = vec![0u64; feature_count(self.width)];
+        let mut stack = Vec::new();
+        let mut flips = vec![0u64; cycles.len()];
+        for (block, out) in flips.chunks_mut(64).enumerate() {
+            let lanes = u64::MAX >> (64 - out.len());
+            for (f, word) in features[..base_planes].iter_mut().enumerate() {
+                *word = stream.plane(&stream.base, f)[block];
+            }
+            // Row n: the lanes predicted erroneous at output bit n.
+            let mut erroneous = [0u64; 64];
+            for (n, (model, row)) in models.iter().zip(&mut erroneous).enumerate() {
+                *row = match model {
+                    BitLanes::Constant(c) => lanes & u64::from(*c).wrapping_neg(),
+                    BitLanes::Forest(forest) => {
+                        features[base_planes] = stream.plane(&stream.gold_prev, n)[block];
+                        features[base_planes + 1] = stream.plane(&stream.gold, n)[block];
+                        forest.majority_lanes(&features, lanes, &mut stack)
+                    }
+                };
+            }
+            // Back from bit-planes to one timing-class vector per cycle.
+            transpose64(&mut erroneous);
+            out.copy_from_slice(&erroneous[..out.len()]);
         }
         flips
     }

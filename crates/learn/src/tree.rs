@@ -4,10 +4,13 @@
 //! incur overfitting problem" — the forest in [`crate::forest`] addresses
 //! that; this module provides the underlying learner.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use crate::dataset::{packed_feature, Dataset};
+use crate::dataset::{packed_feature, Dataset, Planes};
+use crate::planes::split_counts;
 use crate::serialize::ParseModelError;
 
 /// Tree growth limits.
@@ -51,7 +54,101 @@ pub struct DecisionTree {
     nodes: Vec<Node>,
     num_features: usize,
     importances: Vec<f64>,
-    root_size: usize,
+}
+
+/// A child reference in a [`LaneProgram`]: no positive leaf below.
+const DEAD: u32 = u32::MAX;
+/// A child reference in a [`LaneProgram`]: a positive leaf.
+const POSITIVE: u32 = u32::MAX - 1;
+
+/// One split of a [`LaneProgram`]; each child is [`DEAD`], [`POSITIVE`] or
+/// the index of another split.
+#[derive(Debug, Clone, Copy)]
+struct LaneSplit {
+    feature: u32,
+    low: u32,
+    high: u32,
+}
+
+/// A decision tree compiled for lane-mask inference, reduced to what a
+/// vote needs: the splits whose subtree holds a positive leaf (`prob_true >
+/// 0.5`). Leaves are folded into their parent's child references, so
+/// inference never descends into a subtree where no lane can vote and
+/// never visits a leaf node at all. Built per batch call
+/// ([`DecisionTree::lane_program`]) rather than stored with the model.
+#[derive(Debug)]
+pub(crate) struct LaneProgram {
+    /// The root's reference: [`DEAD`], [`POSITIVE`] or a split index.
+    root: u32,
+    splits: Vec<LaneSplit>,
+}
+
+impl LaneProgram {
+    /// Compiles `nodes`, whose children all follow their parent (growth
+    /// order guarantees it and the parser checks it).
+    fn compile(nodes: &[Node]) -> Self {
+        let mut reference = vec![DEAD; nodes.len()];
+        let mut splits = Vec::new();
+        for (id, node) in nodes.iter().enumerate().rev() {
+            reference[id] = match *node {
+                Node::Leaf { prob_true } if prob_true > 0.5 => POSITIVE,
+                Node::Leaf { .. } => DEAD,
+                Node::Split { feature, low, high } => {
+                    let (low, high) = (reference[low as usize], reference[high as usize]);
+                    if low == DEAD && high == DEAD {
+                        DEAD
+                    } else {
+                        splits.push(LaneSplit { feature, low, high });
+                        (splits.len() - 1) as u32
+                    }
+                }
+            };
+        }
+        Self {
+            root: reference.first().copied().unwrap_or(DEAD),
+            splits,
+        }
+    }
+
+    /// Classifies 64 cycles at once: the lanes of `lanes` whose descent
+    /// ends in a positive leaf (`prob_true > 0.5`, as in
+    /// [`DecisionTree::predict`]).
+    ///
+    /// `features[f]` is feature `f`'s plane word for the 64 cycles. The
+    /// walk is top-down over lane masks: a split hands its mask AND the
+    /// feature word to the high child and its mask AND NOT the word to the
+    /// low child, empty masks and subtrees without a positive leaf are
+    /// dropped, and the positive leaves reached OR their mask into the
+    /// result. `stack` is caller-owned scratch.
+    pub(crate) fn positive_lanes(
+        &self,
+        features: &[u64],
+        lanes: u64,
+        stack: &mut Vec<(u32, u64)>,
+    ) -> u64 {
+        let mut positive = 0u64;
+        stack.clear();
+        match self.root {
+            DEAD => return 0,
+            POSITIVE => return lanes,
+            root => stack.push((root, lanes)),
+        }
+        while let Some((split, mask)) = stack.pop() {
+            let LaneSplit { feature, low, high } = self.splits[split as usize];
+            let word = features[feature as usize];
+            for (child, child_mask) in [(low, mask & !word), (high, mask & word)] {
+                if child_mask == 0 || child == DEAD {
+                    continue;
+                }
+                if child == POSITIVE {
+                    positive |= child_mask;
+                } else {
+                    stack.push((child, child_mask));
+                }
+            }
+        }
+        positive
+    }
 }
 
 /// Gini impurity of a (positives, total) split side.
@@ -67,10 +164,11 @@ impl DecisionTree {
     /// Fits a tree on the given sample indices of a dataset.
     ///
     /// Growth is bit-parallel over samples: node membership is a bitmask
-    /// over the dataset, split sides are counted with popcounts against the
-    /// dataset's column-major feature planes, and partitioning is two
-    /// bitwise ANDs — the same SIMD-within-a-register idea the 64-lane
-    /// gate-level simulator uses. Duplicate indices collapse into the
+    /// over the dataset (stored as its nonzero words only), split sides
+    /// are counted with carry-save popcounts against the dataset's
+    /// column-major feature planes, and partitioning is two bitwise ANDs —
+    /// the same SIMD-within-a-register idea the 64-lane gate-level
+    /// simulator uses. Duplicate indices collapse into the
     /// membership mask (callers bag without replacement; see
     /// [`ForestConfig::bootstrap`](crate::ForestConfig)).
     ///
@@ -84,118 +182,50 @@ impl DecisionTree {
         config: &TreeConfig,
         rng: &mut StdRng,
     ) -> Self {
+        Self::fit_planes(&dataset.planes(), indices, config, rng)
+    }
+
+    /// [`Self::fit`] over a borrowed plane view.
+    pub(crate) fn fit_planes(
+        planes: &Planes<'_>,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut StdRng,
+    ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut mask = vec![0u64; dataset.len().div_ceil(64)];
+        let mut mask = vec![0u64; planes.len.div_ceil(64)];
         for &i in indices {
             mask[i / 64] |= 1u64 << (i % 64);
         }
-        let total: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
-        let mut tree = Self {
+        // The root's arena entries: every nonzero membership word.
+        let (mut index, mut members, mut positives) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, (&m, &l)) in mask.iter().zip(planes.labels).enumerate() {
+            if m != 0 {
+                index.push(i as u32);
+                members.push(m);
+                positives.push(m & l);
+            }
+        }
+        let count = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum();
+        let (total, positive_count) = (count(&members), count(&positives));
+        let root_run = 0..index.len();
+        let mut grower = Grower {
+            planes,
+            config,
             nodes: Vec::new(),
-            num_features: dataset.num_features(),
-            importances: vec![0.0; dataset.num_features()],
+            importances: vec![0.0; planes.features.len()],
             root_size: total,
+            candidates: Vec::with_capacity(planes.features.len()),
+            index,
+            members,
+            positives,
         };
-        tree.grow(dataset, &mask, total, 0, config, rng);
-        tree
-    }
-
-    /// Recursively grows the subtree over the membership mask, returning
-    /// its node id.
-    fn grow(
-        &mut self,
-        dataset: &Dataset,
-        mask: &[u64],
-        total: usize,
-        depth: u32,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> u32 {
-        let labels = dataset.label_plane();
-        let positives: usize = mask
-            .iter()
-            .zip(labels)
-            .map(|(&m, &l)| (m & l).count_ones() as usize)
-            .sum();
-        let make_leaf = positives == 0
-            || positives == total
-            || depth >= config.max_depth
-            || total < config.min_samples_split;
-        if make_leaf {
-            return self.push_leaf(positives as f64 / total as f64);
+        grower.grow(root_run, total, positive_count, 0, rng);
+        Self {
+            nodes: grower.nodes,
+            num_features: planes.features.len(),
+            importances: grower.importances,
         }
-
-        // Candidate features: all, or a random subset (random-forest style).
-        let all: Vec<u32> = (0..dataset.num_features() as u32).collect();
-        let candidates: Vec<u32> = match config.feature_subsample {
-            None => all,
-            Some(k) => {
-                let mut shuffled = all;
-                shuffled.shuffle(rng);
-                shuffled.truncate(k.max(1));
-                shuffled
-            }
-        };
-
-        let parent_gini = gini(positives as f64, total as f64);
-        let mut best: Option<(f64, u32)> = None;
-        for &f in &candidates {
-            let plane = dataset.feature_plane(f as usize);
-            let mut high_total = 0usize;
-            let mut high_pos = 0usize;
-            for ((&m, &p), &l) in mask.iter().zip(plane).zip(labels) {
-                let high = m & p;
-                high_total += high.count_ones() as usize;
-                high_pos += (high & l).count_ones() as usize;
-            }
-            let low_total = total - high_total;
-            if high_total == 0 || low_total == 0 {
-                continue; // useless split
-            }
-            let low_pos = positives - high_pos;
-            let weighted = (low_total as f64 * gini(low_pos as f64, low_total as f64)
-                + high_total as f64 * gini(high_pos as f64, high_total as f64))
-                / total as f64;
-            let gain = parent_gini - weighted;
-            // Zero-gain (but non-degenerate) splits are accepted, like
-            // scikit-learn's CART: they are what lets greedy trees descend
-            // into XOR-style interactions, with the depth limit as the
-            // overfitting guard.
-            let better = match best {
-                None => true,
-                Some((best_gain, best_f)) => {
-                    gain > best_gain + 1e-12 || (gain > best_gain - 1e-12 && f < best_f)
-                }
-            };
-            if better {
-                best = Some((gain, f));
-            }
-        }
-
-        let Some((gain, feature)) = best else {
-            return self.push_leaf(positives as f64 / total as f64);
-        };
-        // Mean-decrease-in-impurity importance, weighted by node size.
-        self.importances[feature as usize] += gain.max(0.0) * total as f64 / self.root_size as f64;
-
-        // Partition: two bitwise ANDs against the chosen feature's plane.
-        let plane = dataset.feature_plane(feature as usize);
-        let high_mask: Vec<u64> = mask.iter().zip(plane).map(|(&m, &p)| m & p).collect();
-        let low_mask: Vec<u64> = mask.iter().zip(plane).map(|(&m, &p)| m & !p).collect();
-        let high_total: usize = high_mask.iter().map(|w| w.count_ones() as usize).sum();
-        let low_total = total - high_total;
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf { prob_true: 0.0 }); // placeholder
-        let low = self.grow(dataset, &low_mask, low_total, depth + 1, config, rng);
-        let high = self.grow(dataset, &high_mask, high_total, depth + 1, config, rng);
-        self.nodes[id as usize] = Node::Split { feature, low, high };
-        id
-    }
-
-    fn push_leaf(&mut self, prob_true: f64) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf { prob_true });
-        id
     }
 
     /// Probability of the positive class for a packed feature sample.
@@ -224,6 +254,11 @@ impl DecisionTree {
     #[must_use]
     pub fn predict(&self, sample: &[u64]) -> bool {
         self.predict_prob(sample) > 0.5
+    }
+
+    /// The tree compiled for lane-mask inference.
+    pub(crate) fn lane_program(&self) -> LaneProgram {
+        LaneProgram::compile(&self.nodes)
     }
 
     /// Number of nodes in the tree.
@@ -348,8 +383,151 @@ impl DecisionTree {
             nodes,
             num_features,
             importances: vec![0.0; num_features],
-            root_size: 0,
         })
+    }
+}
+
+/// Tree-growth state. A node's membership is a run of the mask arena:
+/// only its nonzero 64-sample words, each stored with its word index and
+/// with the mask already ANDed with the labels, so deep nodes touch only
+/// the handful of words that still hold samples. Children are appended
+/// past their parent's run and the arena is truncated back once the
+/// subtree is done, so growth allocates nothing per node.
+struct Grower<'p, 'a> {
+    planes: &'p Planes<'a>,
+    config: &'p TreeConfig,
+    nodes: Vec<Node>,
+    importances: Vec<f64>,
+    root_size: usize,
+    /// Reused candidate-feature buffer.
+    candidates: Vec<u32>,
+    /// The mask arena, structure-of-arrays: word index, membership word,
+    /// membership AND label.
+    index: Vec<u32>,
+    members: Vec<u64>,
+    positives: Vec<u64>,
+}
+
+impl Grower<'_, '_> {
+    /// Recursively grows the subtree over the arena run `run` (holding
+    /// `total` samples, `positives` of them positive), returning its node
+    /// id.
+    fn grow(
+        &mut self,
+        run: Range<usize>,
+        total: usize,
+        positives: usize,
+        depth: u32,
+        rng: &mut StdRng,
+    ) -> u32 {
+        let config = self.config;
+        let make_leaf = positives == 0
+            || positives == total
+            || depth >= config.max_depth
+            || total < config.min_samples_split;
+        if make_leaf {
+            return self.push_leaf(positives as f64 / total as f64);
+        }
+
+        // Candidate features: all, or a random subset (random-forest
+        // style). The shuffle always starts from the identity order, so the
+        // RNG stream is consumed exactly as by a freshly built list.
+        let num_features = self.planes.features.len() as u32;
+        self.candidates.clear();
+        self.candidates.extend(0..num_features);
+        if let Some(k) = config.feature_subsample {
+            self.candidates.shuffle(rng);
+            self.candidates.truncate(k.max(1));
+        }
+
+        let parent_gini = gini(positives as f64, total as f64);
+        // (gain, feature, high_total, high_pos) of the best split so far.
+        let mut best: Option<(f64, u32, usize, usize)> = None;
+        for &f in &self.candidates {
+            let plane = self.planes.features[f as usize];
+            let (high_total, high_pos) = split_counts(
+                &self.index[run.clone()],
+                &self.members[run.clone()],
+                &self.positives[run.clone()],
+                plane,
+            );
+            let low_total = total - high_total;
+            if high_total == 0 || low_total == 0 {
+                continue; // useless split
+            }
+            let low_pos = positives - high_pos;
+            let weighted = (low_total as f64 * gini(low_pos as f64, low_total as f64)
+                + high_total as f64 * gini(high_pos as f64, high_total as f64))
+                / total as f64;
+            let gain = parent_gini - weighted;
+            // Zero-gain (but non-degenerate) splits are accepted, like
+            // scikit-learn's CART: they are what lets greedy trees descend
+            // into XOR-style interactions, with the depth limit as the
+            // overfitting guard.
+            let better = match best {
+                None => true,
+                Some((best_gain, best_f, _, _)) => {
+                    gain > best_gain + 1e-12 || (gain > best_gain - 1e-12 && f < best_f)
+                }
+            };
+            if better {
+                best = Some((gain, f, high_total, high_pos));
+            }
+        }
+
+        let Some((gain, feature, high_total, high_pos)) = best else {
+            return self.push_leaf(positives as f64 / total as f64);
+        };
+        // Mean-decrease-in-impurity importance, weighted by node size.
+        self.importances[feature as usize] += gain.max(0.0) * total as f64 / self.root_size as f64;
+
+        // Partition: two bitwise ANDs against the chosen feature's plane,
+        // compacted branch-free into the arena past this node's run.
+        let plane = self.planes.features[feature as usize];
+        let low_start = self.index.len();
+        let high_start = self.partition(run.clone(), plane, false);
+        let high_end = self.partition(run, plane, true);
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node::Leaf { prob_true: 0.0 }); // placeholder
+        let (low_total, low_pos) = (total - high_total, positives - high_pos);
+        let low = self.grow(low_start..high_start, low_total, low_pos, depth + 1, rng);
+        let high = self.grow(high_start..high_end, high_total, high_pos, depth + 1, rng);
+        self.index.truncate(low_start);
+        self.members.truncate(low_start);
+        self.positives.truncate(low_start);
+        self.nodes[id as usize] = Node::Split { feature, low, high };
+        id
+    }
+
+    /// Appends the nonzero words of `run`'s membership restricted to the
+    /// lanes where `plane` equals `side`, returning the arena's new end.
+    fn partition(&mut self, run: Range<usize>, plane: &[u64], side: bool) -> usize {
+        // All ones for the high side, all zeros for the low side.
+        let flip = u64::from(!side).wrapping_neg();
+        let mut end = self.index.len();
+        let cap = end + run.len();
+        self.index.resize(cap, 0);
+        self.members.resize(cap, 0);
+        self.positives.resize(cap, 0);
+        for k in run {
+            let i = self.index[k];
+            let keep = plane[i as usize] ^ flip;
+            let m = self.members[k] & keep;
+            self.index[end] = i;
+            self.members[end] = m;
+            self.positives[end] = self.positives[k] & keep;
+            end += usize::from(m != 0);
+        }
+        self.index.truncate(end);
+        self.members.truncate(end);
+        self.positives.truncate(end);
+        end
+    }
+
+    fn push_leaf(&mut self, prob_true: f64) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node::Leaf { prob_true });
+        id
     }
 }
 

@@ -48,8 +48,8 @@ fn main() {
     let mut avpe = AvpeAccumulator::new();
     let mut re_unguarded = ErrorStats::new();
     let mut re_guarded = ErrorStats::new();
-    for cycle in &test {
-        let predicted = predictor.predict_flips(cycle);
+    let predictions = predictor.predict_flips_batch(&test);
+    for (cycle, &predicted) in test.iter().zip(&predictions) {
         cycle_matrix.record(predicted != 0, cycle.flips != 0);
         abper.record(predicted, cycle.flips);
         let real_silver = cycle.gold ^ cycle.flips;

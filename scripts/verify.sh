@@ -7,7 +7,8 @@
 #   netlint -> full-grid netlist/timing static analysis (fails on Error)
 #   prove   -> symbolic equivalence + false-path STA proofs (fails on any)
 #   miri    -> LaneBatch pack/transpose tests under Miri (when installed)
-#   golden  -> experiment CSVs diffed against tests/golden/
+#   golden  -> experiment CSVs diffed against tests/golden/, plus the
+#              isa-learn exactness and model-digest tests in release
 #   serve   -> chaos battery + cold/hot/chaos byte-identity + observability
 #              out-of-band pass (metrics + tracing on, bytes unchanged) +
 #              store gate with exposition schema check
@@ -62,6 +63,9 @@ fi
 
 echo "==> golden figures (scripts/golden.sh)"
 scripts/golden.sh
+
+echo "==> predictor exactness + model digests (release, same as CI's golden job)"
+cargo test --release -q -p isa-learn
 
 echo "==> serve chaos battery (release, same as CI)"
 cargo test --release -q -p isa-serve
